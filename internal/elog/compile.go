@@ -1,6 +1,8 @@
 package elog
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,10 +16,10 @@ import (
 // stratification once and lowers every element path definition onto
 // the packed-bitset kernel — each tag test becomes a word-parallel
 // intersection with the document's interned-label bitsets
-// (dom.LabelBits via internal/nodeset), with per-node work left only
-// for the attribute/variable conditions. Per-document match results
-// are memoized keyed on the tree's content fingerprint, so re-wrapping
-// an unchanged page costs hash lookups instead of tree walks.
+// (dom.LabelBits), with per-node work left only for the
+// attribute/variable conditions. Per-document match results are
+// memoized keyed on the tree's content fingerprint, so re-wrapping an
+// unchanged page costs hash lookups instead of tree walks.
 //
 // A CompiledProgram is safe for concurrent use: multiple evaluators
 // (server ticks, parallel Run calls) may share one, provided the
@@ -373,45 +375,103 @@ func (ce *compiledEPD) store(key epdCacheKey, m []epdMatch) {
 	ce.mu.Unlock()
 }
 
-// bitsetMatch is the compiled analogue of EPD.Match: each step advances
-// a packed node set — descent is a single-sweep DescendantsOrSelf
-// image, tag tests are word-parallel intersections with the interned
-// labels' characteristic bitsets — and only the attribute conditions
-// fall back to per-node checks. Matches come out in document order;
-// the interpreter's discovery order can differ, but the match sets are
-// identical and every downstream consumer is order-insensitive (the
-// XML transformer re-sorts siblings by document order).
+// bitsetMatch is the compiled analogue of EPD.Match. It works only on
+// the window of node ids the context roots' subtrees occupy: navigation
+// only descends, so every match lies there. On document-ordered trees
+// the window is [min root, max(root+subtree size)); otherwise it is the
+// whole tree. Either way parents carry smaller ids than their children,
+// which is all the sweeps below rely on. Sets are packed bitsets over
+// the window's words only (bit = id − base): descent is one ascending
+// parent sweep, a child step walks the members' child lists, and tag,
+// star and kind tests are word-parallel ANDs with the window's slice of
+// the interned label and kind bitsets, so a match costs
+// O(|window|/64 + matched children) rather than the page. Only the
+// attribute conditions fall back to per-node checks. Matches come out
+// in document order; the interpreter's discovery order can differ, but
+// the match sets are identical and every downstream consumer is
+// order-insensitive (the XML transformer re-sorts siblings by document
+// order).
 func bitsetMatch(e *EPD, t *dom.Tree, roots []dom.NodeID, rootsAsChildren bool) []epdMatch {
-	ctx := nodeset.FromSlice(t, roots)
+	if len(roots) == 0 {
+		return nil
+	}
+	lo, hi := 0, t.Size()
+	if t.DocOrdered() {
+		lo, hi = int(roots[0]), 0
+		for _, r := range roots {
+			lo, hi = min(lo, int(r)), max(hi, int(r)+t.SubtreeSize(r))
+		}
+	}
+	w0 := lo >> 6
+	nw := (hi+63)>>6 - w0
+	base := w0 << 6
+	buf := make([]uint64, 2*nw)
+	ctx, spare := buf[:nw:nw], buf[nw:]
+	for _, r := range roots {
+		i := int(r) - base
+		ctx[i>>6] |= 1 << (i & 63)
+	}
+	elem := t.KindBits(dom.Element)[w0 : w0+nw]
 	for si := range e.Steps {
 		step := &e.Steps[si]
 		if step.Kind == "deep" {
-			ctx = nodeset.DescendantsOrSelf(t, ctx)
+			for y := lo; y < hi; y++ {
+				p := int(t.Parent(dom.NodeID(y))) - base
+				if p >= 0 && ctx[p>>6]&(1<<(p&63)) != 0 {
+					i := y - base
+					ctx[i>>6] |= 1 << (i & 63)
+				}
+			}
 			continue
 		}
-		cand := ctx
-		if !(si == 0 && rootsAsChildren) {
-			cand = nodeset.Children(t, ctx)
+		if si > 0 || !rootsAsChildren {
+			clear(spare)
+			for wi, w := range ctx {
+				for ; w != 0; w &= w - 1 {
+					x := dom.NodeID(base + wi<<6 + bits.TrailingZeros64(w))
+					for c := t.FirstChild(x); c != dom.Nil; c = t.NextSibling(c) {
+						i := int(c) - base
+						spare[i>>6] |= 1 << (i & 63)
+					}
+				}
+			}
+			ctx, spare = spare, ctx
 		}
 		switch step.Kind {
 		case "tag":
-			sel := nodeset.New(t)
-			for _, tag := range append([]string{step.Tag}, step.Alts...) {
+			clear(spare)
+			orLabel := func(tag string) {
 				if id := t.LabelIDFor(tag); id != dom.NoLabel {
-					sel.OrWords(t.LabelBits(id))
+					for i, w := range t.LabelBits(id)[w0 : w0+nw] {
+						spare[i] |= w
+					}
 				}
 			}
-			ctx = cand.And(sel).AndWords(t.KindBits(dom.Element))
+			orLabel(step.Tag)
+			for _, tag := range step.Alts {
+				orLabel(tag)
+			}
+			for i := range ctx {
+				ctx[i] &= spare[i] & elem[i]
+			}
 		case "star":
-			ctx = cand.AndWords(t.KindBits(dom.Element))
+			for i := range ctx {
+				ctx[i] &= elem[i]
+			}
 		default: // "content": any child node
-			ctx = cand
 		}
-		if ctx.Empty() {
+		if !slices.ContainsFunc(ctx, func(w uint64) bool { return w != 0 }) {
 			return nil
 		}
 	}
-	return e.applyConds(t, ctx.Nodes(t))
+	nodes := nodeset.MembersOf(ctx)
+	for i := range nodes {
+		nodes[i] += dom.NodeID(base)
+	}
+	if !t.DocOrdered() {
+		nodes = t.SortDocOrder(nodes)
+	}
+	return e.applyConds(t, nodes)
 }
 
 // hashString is FNV-1a over a string.

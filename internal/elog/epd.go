@@ -437,7 +437,7 @@ func (e *EPD) Match(t *dom.Tree, roots []dom.NodeID, rootsAsChildren bool) []epd
 func (e *EPD) applyConds(t *dom.Tree, nodes []dom.NodeID) []epdMatch {
 	var out []epdMatch
 	for _, n := range nodes {
-		binds := map[string]string{}
+		var binds map[string]string // allocated on the first binding
 		ok := true
 		for i := range e.Conds {
 			b, match := e.Conds[i].match(t, n)
@@ -446,13 +446,13 @@ func (e *EPD) applyConds(t *dom.Tree, nodes []dom.NodeID) []epdMatch {
 				break
 			}
 			for k, v := range b {
+				if binds == nil {
+					binds = make(map[string]string, len(b))
+				}
 				binds[k] = v
 			}
 		}
 		if ok {
-			if len(binds) == 0 {
-				binds = nil
-			}
 			out = append(out, epdMatch{node: n, binds: binds})
 		}
 	}

@@ -410,15 +410,17 @@ func decodeRef(ref string) (rune, bool) {
 	return r, ok
 }
 
+// The escapers are built once: a strings.Replacer is safe for
+// concurrent use and returns its input unallocated when nothing needs
+// escaping.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText escapes character data for inclusion in HTML/XML text
 // content.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes an attribute value for double-quoted inclusion.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

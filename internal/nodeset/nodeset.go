@@ -32,10 +32,10 @@ type Set struct {
 }
 
 // New returns an empty set sized for t.
-func New(t *dom.Tree) Set { return NewSized(t.Size()) }
-
-// NewSized returns an empty set over a universe of n nodes.
-func NewSized(n int) Set { return Set{words: make([]uint64, (n+63)/64), n: n} }
+func New(t *dom.Tree) Set {
+	n := t.Size()
+	return Set{words: make([]uint64, (n+63)/64), n: n}
+}
 
 // FromWords builds a set over t's nodes by copying a raw word vector
 // (e.g. a dom label bitset). Extra bits beyond the universe must be
@@ -99,8 +99,9 @@ func (s Set) ForEach(f func(dom.NodeID)) { ForEachWord(s.words, f) }
 
 // The raw-word helpers below are shared with consumers that manage
 // their own word vectors over NodeIDs (the mdatalog evaluator's
-// per-predicate truth store, the dom label bitsets) so the packed
-// representation has a single home.
+// per-predicate truth store, the dom label bitsets, the compiled Elog
+// matcher's subtree-window sets) so the packed representation has a
+// single home.
 
 // ForEachWord calls f for every set bit of a raw word vector, in
 // ascending NodeID order.
@@ -191,23 +192,6 @@ func (s Set) And(o Set) Set {
 func (s Set) Or(o Set) Set {
 	for i := range s.words {
 		s.words[i] |= o.words[i]
-	}
-	return s
-}
-
-// OrWords unions a raw word vector (e.g. a dom label bitset) into s and
-// returns it. The vector must cover the same universe.
-func (s Set) OrWords(words []uint64) Set {
-	for i := range s.words {
-		s.words[i] |= words[i]
-	}
-	return s
-}
-
-// AndWords intersects s with a raw word vector and returns it.
-func (s Set) AndWords(words []uint64) Set {
-	for i := range s.words {
-		s.words[i] &= words[i]
 	}
 	return s
 }

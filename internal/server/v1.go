@@ -106,8 +106,10 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 
 // writeDoc renders one document as XML (or JSON per Accept). The
 // response is content-negotiated, so Vary: Accept and an explicit
-// charset keep intermediaries from serving the wrong encoding.
-func writeDoc(w http.ResponseWriter, r *http.Request, doc *xmlenc.Node) {
+// charset keep intermediaries from serving the wrong encoding. A
+// non-nil encoded is doc's indented XML, already in hand, served
+// as-is instead of encoding doc again.
+func writeDoc(w http.ResponseWriter, r *http.Request, doc *xmlenc.Node, encoded []byte) {
 	w.Header().Add("Vary", "Accept")
 	if wantsJSON(r) {
 		data, err := xmlenc.MarshalJSONIndent(doc)
@@ -119,8 +121,11 @@ func writeDoc(w http.ResponseWriter, r *http.Request, doc *xmlenc.Node) {
 		w.Write(data)
 		return
 	}
+	if encoded == nil {
+		encoded = xmlenc.MarshalIndentBytes(doc)
+	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Write(xmlenc.MarshalIndentBytes(doc))
+	w.Write(encoded)
 }
 
 // rateLimiter is a token bucket: perMinute tokens refill continuously,
@@ -533,9 +538,16 @@ func (s *Server) v1WrapperExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
 	}
-	ps.deliver.snapshot(d.out)
+	sn := ps.deliver.snapshot(d.out)
 	w.Header().Set("Lixto-Version", strconv.FormatUint(d.out.Version(), 10))
-	writeDoc(w, r, doc)
+	var encoded []byte
+	if sn != nil && sn.doc == doc {
+		// The publish just encoded this very document. Anything else —
+		// a concurrent extract's newer document, or a re-delivery
+		// folded into the previous snapshot — is encoded afresh.
+		encoded = sn.xml
+	}
+	writeDoc(w, r, doc, encoded)
 }
 
 // sourceFromSpec builds the extraction source from a one-shot body,
@@ -678,5 +690,5 @@ func (s *Server) v1Extract(w http.ResponseWriter, r *http.Request) {
 		writeSDKError(w, err)
 		return
 	}
-	writeDoc(w, r, res.XML())
+	writeDoc(w, r, res.XML(), nil)
 }

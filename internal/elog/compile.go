@@ -28,9 +28,8 @@ import (
 type CompiledProgram struct {
 	// Program is the source program (read-only after Compile).
 	Program *Program
-	strata  [][]*Rule
-	// waves caches planWaves per stratum, so evaluation does not re-plan
-	// the concurrency structure on every run.
+	// waves caches the strata, each planned into waves, so evaluation
+	// does not re-plan the concurrency structure on every run.
 	waves [][]wave
 	epds  map[*EPD]*compiledEPD
 
@@ -55,7 +54,7 @@ func Compile(p *Program) (*CompiledProgram, error) {
 	for i, rules := range strata {
 		waves[i] = planWaves(rules)
 	}
-	cp := &CompiledProgram{Program: p, strata: strata, waves: waves, epds: map[*EPD]*compiledEPD{}}
+	cp := &CompiledProgram{Program: p, waves: waves, epds: map[*EPD]*compiledEPD{}}
 	add := func(e *EPD) {
 		if e != nil && cp.epds[e] == nil {
 			cp.epds[e] = newCompiledEPD(e)
@@ -386,14 +385,31 @@ func (ce *compiledEPD) store(key epdCacheKey, m []epdMatch) {
 // star and kind tests are word-parallel ANDs with the window's slice of
 // the interned label and kind bitsets, so a match costs
 // O(|window|/64 + matched children) rather than the page. Only the
-// attribute conditions fall back to per-node checks. Matches come out
-// in document order; the interpreter's discovery order can differ, but
-// the match sets are identical and every downstream consumer is
-// order-insensitive (the XML transformer re-sorts siblings by document
-// order).
+// attribute conditions fall back to per-node checks.
+//
+// A path without a descent step skips the window: its matches lie at
+// most len(e.Steps) levels below a root, so the interpreter's
+// child-list walk touches only those levels, while the window spans the
+// roots' whole subtrees — on a deeply nested page, a cost per parent
+// proportional to its subtree.
+//
+// Matches come out in document order; the interpreter's discovery order
+// can differ, but the match sets are identical and every downstream
+// consumer is order-insensitive (the XML transformer re-sorts siblings
+// by document order).
 func bitsetMatch(e *EPD, t *dom.Tree, roots []dom.NodeID, rootsAsChildren bool) []epdMatch {
 	if len(roots) == 0 {
 		return nil
+	}
+	if !slices.ContainsFunc(e.Steps, func(st EPDStep) bool { return st.Kind == "deep" }) {
+		// Nested roots can make the walk's discovery order differ
+		// from document order.
+		m := e.Match(t, roots, rootsAsChildren)
+		byPre := func(a, b epdMatch) int { return t.Pre(a.node) - t.Pre(b.node) }
+		if !slices.IsSortedFunc(m, byPre) {
+			slices.SortFunc(m, byPre)
+		}
+		return m
 	}
 	lo, hi := 0, t.Size()
 	if t.DocOrdered() {

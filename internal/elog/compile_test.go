@@ -483,47 +483,87 @@ page(S, X) <- url(_, S), getDocument(S, X)
 	}
 }
 
-// TestTransientFetchFailureRetried pins the frontier's error handling:
-// failures are not cached for the run, so a page whose fetch fails
-// transiently (one-off timeout) is re-attempted when a rule consumes
-// it — the seed interpreter's attempt-per-consumption semantics.
+// TestTransientFetchFailureRetried pins the crawl retry semantics. The
+// frontier does not cache failures, and the evaluator queues a parent
+// whose fetch failed for the next fixpoint pass, so a transient failure
+// (a one-off timeout) heals as long as passes still run, while a
+// permanently dangling link costs one attempt per pass — exactly as
+// many as the naive fixpoint, which re-applied every rule to every
+// parent on every pass, made.
 func TestTransientFetchFailureRetried(t *testing.T) {
-	const target = "crawl.example.com/page.html"
+	const (
+		target = "crawl.example.com/page.html"
+		gone   = "crawl.example.com/gone.html"
+	)
 	sim := web.New()
-	sim.SetStatic("crawl.example.com/index.html",
-		`<html><body><a href="page.html">p</a></body></html>`)
+	// The nested divs keep the fixpoint running for several passes: the
+	// recursive nest rule descends one level per pass.
+	sim.SetStatic("crawl.example.com/index.html", `<html><body>
+<a href="page.html">p</a><a href="gone.html">g</a>
+<div><div><div><div><div><div></div></div></div></div></div></div></body></html>`)
 	sim.SetStatic(target, "<html><body><h1>found</h1></body></html>")
-	var failed atomic.Bool
-	flaky := elog.FetcherFunc(func(url string) (*dom.Tree, error) {
-		if url == target && failed.CompareAndSwap(false, true) {
-			return nil, fmt.Errorf("transient: connection reset")
-		}
-		return sim.Fetch(url)
-	})
 	prog := elog.MustParse(`
 index(S, X) <- document("crawl.example.com/index.html", S), subelem(S, .body, X)
 link(S, X) <- index(_, S), subelem(S, ?.a, X)
 url(S, X) <- link(_, S), subatt(S, href, X)
 page(S, X) <- url(_, S), getDocument(S, X)
 title(S, X) <- page(_, S), subelem(S, ?.h1, X)
+nest(S, X) <- index(_, S), subelem(S, .div, X)
+nest(S, X) <- nest(_, S), subelem(S, .div, X)
 `)
-	for _, compiled := range []bool{false, true} {
-		failed.Store(false)
-		ev := elog.NewEvaluator(flaky)
-		var base *pib.Base
-		var err error
-		if compiled {
-			base, err = ev.RunCompiled(elog.MustCompile(prog))
-		} else {
-			base, err = ev.Run(prog)
-		}
+	type mode struct {
+		name string
+		run  func(*elog.Evaluator) (*pib.Base, error)
+	}
+	modes := []mode{
+		{"interpreted", func(ev *elog.Evaluator) (*pib.Base, error) { return ev.Run(prog) }},
+		{"compiled", func(ev *elog.Evaluator) (*pib.Base, error) { return ev.RunCompiled(elog.MustCompile(prog)) }},
+		{"naive", func(ev *elog.Evaluator) (*pib.Base, error) { return ev.RunNaive(prog, nil) }},
+	}
+	// run evaluates with a fetcher that fails target's first failures
+	// attempts and counts the attempts on the dangling link. gone's
+	// first attempt — the speculative prefetch — is slow, so the
+	// consuming fetch in the first pass always joins it rather than
+	// racing it; every later attempt is a retry in a later pass.
+	run := func(t *testing.T, m mode, failures int32) (*pib.Base, int32) {
+		var targetAttempts, goneAttempts atomic.Int32
+		ev := elog.NewEvaluator(elog.FetcherFunc(func(url string) (*dom.Tree, error) {
+			switch url {
+			case target:
+				if targetAttempts.Add(1) <= failures {
+					return nil, fmt.Errorf("transient: connection reset")
+				}
+			case gone:
+				if goneAttempts.Add(1) == 1 {
+					time.Sleep(50 * time.Millisecond)
+				}
+			}
+			return sim.Fetch(url)
+		}))
+		base, err := m.run(ev)
 		if err != nil {
-			t.Fatalf("compiled=%v: %v", compiled, err)
+			t.Fatalf("%s: %v", m.name, err)
 		}
-		// The speculative prefetch eats the transient failure; the
-		// consuming getDocument must retry and succeed.
-		if n := len(base.Instances("title")); n != 1 {
-			t.Errorf("compiled=%v: extracted %d titles after transient failure, want 1", compiled, n)
+		return base, goneAttempts.Load()
+	}
+	for _, failures := range []int32{1, 2} {
+		for _, m := range modes {
+			// The speculative prefetch eats the first failure; a retry
+			// in a later pass must succeed.
+			if base, _ := run(t, m, failures); len(base.Instances("title")) != 1 {
+				t.Errorf("%s: extracted %d titles after %d transient failures, want 1",
+					m.name, len(base.Instances("title")), failures)
+			}
+		}
+	}
+	_, naive := run(t, modes[2], 0)
+	t.Logf("the naive fixpoint attempted the dangling link %d times", naive)
+	if naive < 3 {
+		t.Fatalf("naive fixpoint attempted the dangling link %d times, want one attempt per pass over several passes", naive)
+	}
+	for _, m := range modes[:2] {
+		if _, got := run(t, m, 0); got != naive {
+			t.Errorf("%s: dangling link attempted %d times, naive fixpoint %d", m.name, got, naive)
 		}
 	}
 }

@@ -20,6 +20,11 @@ import (
 // it aborts evaluation.
 var errCrawlLimit = errors.New("elog: crawl limit")
 
+// errDangling marks a getDocument fetch that failed. It never leaves the
+// evaluator: crawling skips the link, and runSerial queues the parent to
+// retry in the next fixpoint pass.
+var errDangling = errors.New("elog: dangling link")
+
 // Fetcher resolves URLs to parsed HTML documents. The simulated web of
 // internal/web provides one; tests use in-memory maps.
 //
@@ -112,20 +117,54 @@ func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
 }
 
 // runner is the state of one evaluation: the instance base under
-// construction, the crawl bookkeeping, and the optional compiled form.
+// construction, the crawl bookkeeping, the optional compiled form, and
+// the semi-naive fixpoint's per-rule cursors.
 type runner struct {
 	ev   *Evaluator
 	cp   *CompiledProgram // nil for interpreted execution
 	base *pib.Base
 	fr   *frontier
 	docs map[string]*pib.Instance // fetched documents by URL
-	// announced marks parent instances whose crawl URL was already
-	// handed to the frontier, so fixpoint re-iterations do not re-walk
-	// their text content.
-	announced map[*pib.Instance]bool
+	// refs indexes the instances of every pattern a rule references
+	// (pattern(_, V) conditions) by their single node, so a reference
+	// costs one lookup instead of a scan of the pattern. Only add
+	// writes it, on the evaluation goroutine and never while a wave's
+	// candidate generation runs; generation only reads it.
+	refs map[string]map[refKey]struct{}
+	// cursors records how far each rule has got through its parents.
+	cursors map[*Rule]*cursor
 	// jobs is runWave's scratch job list, reused across waves and
 	// fixpoint passes of this evaluation.
 	jobs []waveJob
+}
+
+// refKey identifies a single-node instance for the pattern-reference
+// index: a reference pattern(_, V) holds when some instance of pattern
+// consists of exactly V's node in the candidate's document.
+type refKey struct {
+	doc  *dom.Tree
+	node dom.NodeID
+}
+
+// cursor is one rule's progress through the semi-naive fixpoint. A
+// (rule, parent) pair regenerates exactly the candidates it generated
+// before — already committed, so deduplicated — unless the state it
+// read has changed since. Only two kinds of state can change under an
+// old parent: a positively referenced pattern can gain instances, and a
+// crawl fetch that failed can succeed. So a pass visits the parents the
+// rule has not seen yet, plus every parent when a referenced pattern
+// grew, plus the parents whose fetch failed.
+type cursor struct {
+	// seen counts the parents earlier passes visited: a prefix of the
+	// parent pattern's instances (or of an entry rule's one document).
+	seen int
+	// refs lists the positively referenced patterns; sizes holds their
+	// index sizes when the rule's last pass started.
+	refs  []string
+	sizes []int
+	// retry holds the parents whose getDocument fetch failed, in
+	// instance order; they re-enter the next pass.
+	retry []*pib.Instance
 }
 
 // waveJob is one (rule, parent) candidate-generation unit of a wave.
@@ -137,27 +176,51 @@ type waveJob struct {
 }
 
 func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
-	r := &runner{ev: ev, cp: cp, base: pib.NewBase(),
-		docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
-	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil)
+	r, strata, err := ev.start(p, cp)
 	defer r.fr.drain()
-
-	// Elog supports stratified negation (Section 3.3): rules with
-	// negated pattern references must see the referenced pattern fully
-	// computed. Group the rules into strata, then run each stratum's
-	// rules to fixpoint (rules within a stratum may feed each other —
-	// pattern references, recursive wrapping).
-	var st [][]*Rule
-	if cp != nil {
-		st = cp.strata
-	} else {
-		var err error
-		st, err = Stratify(p)
-		if err != nil {
+	if err != nil {
+		return r.base, err
+	}
+	for _, waves := range strata {
+		if err := r.runStratum(waves); err != nil {
 			return r.base, err
 		}
 	}
+	return r.base, nil
+}
 
+// start prepares one evaluation: the runner, with its crawl frontier
+// seeded, and the program's strata planned into waves. The caller must
+// drain the frontier, also when start fails.
+//
+// Elog supports stratified negation (Section 3.3): rules with negated
+// pattern references must see the referenced pattern fully computed.
+// The rules are grouped into strata, and each stratum's rules run to
+// fixpoint (rules within a stratum may feed each other — pattern
+// references, recursive wrapping).
+func (ev *Evaluator) start(p *Program, cp *CompiledProgram) (*runner, [][]wave, error) {
+	r := &runner{ev: ev, cp: cp, base: pib.NewBase(), docs: map[string]*pib.Instance{},
+		refs: map[string]map[refKey]struct{}{}, cursors: map[*Rule]*cursor{}}
+	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil)
+	var strata [][]wave
+	if cp != nil {
+		strata = cp.waves
+	} else {
+		st, err := Stratify(p)
+		if err != nil {
+			return r, nil, err
+		}
+		for _, rules := range st {
+			strata = append(strata, planWaves(rules))
+		}
+	}
+	for _, rule := range p.Rules {
+		for _, c := range rule.Conds {
+			if ref, ok := c.(PatternRefCond); ok {
+				r.refs[ref.Pattern] = map[refKey]struct{}{}
+			}
+		}
+	}
 	// Seed the frontier with every entry page: they are all fetched
 	// eventually, so announcing them up front overlaps their fetch and
 	// parse latencies.
@@ -166,19 +229,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 			r.fr.prefetch(rule.DocURL)
 		}
 	}
-
-	for i, rules := range st {
-		var waves []wave
-		if cp != nil {
-			waves = cp.waves[i]
-		} else {
-			waves = planWaves(rules)
-		}
-		if err := r.runStratum(waves); err != nil {
-			return r.base, err
-		}
-	}
-	return r.base, nil
+	return r, strata, nil
 }
 
 // wave is a run of consecutive stratum rules whose candidate-generation
@@ -265,11 +316,16 @@ func planWaves(rules []*Rule) []wave {
 	return out
 }
 
-// runStratum evaluates one stratum's rules to fixpoint. The rule list
-// is planned into waves once (at Compile for compiled programs); each
-// fixpoint pass walks the waves in rule order, so at MaxConcurrency 1 —
-// or whenever every wave is a singleton — the evaluation order is
-// exactly the serial one.
+// runStratum evaluates one stratum's rules to fixpoint, semi-naively.
+// Each pass walks the waves in rule order, and each rule visits only
+// its delta (see cursor), so a recursive rule costs one visit per
+// parent instead of one per parent per pass. A pass that commits
+// nothing ends the loop: then no rule has a new parent, and no
+// referenced pattern grew. The skipped visits would only have
+// regenerated committed instances, so the base — ids and commit order
+// included — is the one a naive fixpoint revisiting every parent on
+// every pass builds. At MaxConcurrency 1, or whenever every wave is a
+// singleton, the evaluation order is exactly the serial one.
 func (r *runner) runStratum(waves []wave) error {
 	conc := r.ev.MaxConcurrency
 	if conc <= 0 {
@@ -287,10 +343,59 @@ func (r *runner) runStratum(waves []wave) error {
 			}
 		}
 		if !changed {
-			break
+			return nil
 		}
 	}
-	return nil
+}
+
+// delta returns the parents rule must visit in this pass, in instance
+// order, and advances the rule's cursor past them: the parents it has
+// not seen, preceded by the ones whose crawl fetch failed — or every
+// parent, when a positively referenced pattern grew since the rule's
+// last pass. fresh is the never-visited suffix. An entry rule's only
+// parent is its document, fetched on the first visit.
+func (r *runner) delta(rule *Rule) (visit, fresh []*pib.Instance, err error) {
+	c := r.cursors[rule]
+	if c == nil {
+		c = &cursor{}
+		for _, cond := range rule.Conds {
+			if ref, ok := cond.(PatternRefCond); ok && !ref.Negated {
+				c.refs = append(c.refs, ref.Pattern)
+			}
+		}
+		c.sizes = make([]int, len(c.refs))
+		r.cursors[rule] = c
+	}
+	rescan := false
+	for i, p := range c.refs {
+		if n := len(r.refs[p]); n != c.sizes[i] {
+			c.sizes[i], rescan = n, true
+		}
+	}
+	var all []*pib.Instance
+	if rule.DocURL != "" {
+		if c.seen > 0 && !rescan {
+			return nil, nil, nil
+		}
+		in, err := r.fetchDoc(rule.DocURL)
+		if err != nil {
+			return nil, nil, fmt.Errorf("elog: rule for %s: %w", rule.Head, err)
+		}
+		all = []*pib.Instance{in}
+	} else {
+		all = r.base.Instances(rule.Parent)
+	}
+	fresh = all[c.seen:]
+	switch {
+	case rescan:
+		visit = all
+	case len(c.retry) > 0:
+		visit = append(c.retry, fresh...)
+	default:
+		visit = fresh
+	}
+	c.seen, c.retry = len(all), nil
+	return visit, fresh, nil
 }
 
 // runWave evaluates one wave: candidate generation runs concurrently
@@ -305,37 +410,45 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 	}
 	jobs := r.jobs[:0]
 	for _, rule := range w.rules {
-		for _, s := range r.base.Instances(rule.Parent) {
+		visit, _, err := r.delta(rule)
+		if err != nil {
+			return false, err
+		}
+		for _, s := range visit {
 			jobs = append(jobs, waveJob{rule: rule, parent: s})
 		}
 	}
 	r.jobs = jobs
-	switch {
-	case len(jobs) == 0:
+	if len(jobs) == 0 {
 		return false, nil
-	case len(jobs) == 1:
-		return r.runSerial(w.rules)
 	}
 	if conc > len(jobs) {
 		conc = len(jobs)
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				jb := &jobs[j]
-				jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parent)
+	work := func() {
+		for {
+			j := int(next.Add(1)) - 1
+			if j >= len(jobs) {
+				return
 			}
-		}()
+			jb := &jobs[j]
+			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parent)
+		}
 	}
-	wg.Wait()
+	if conc == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < conc; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
 	changed := false
 	for j := range jobs {
 		jb := &jobs[j]
@@ -348,42 +461,31 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 		if r.commit(jb.rule, jb.parent, jb.accepted) {
 			changed = true
 		}
-		if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
-			return changed, fmt.Errorf("elog: instance limit exceeded (recursive wrapper runaway?)")
+		if err := r.checkLimit(); err != nil {
+			return changed, err
 		}
 	}
 	return changed, nil
 }
 
-// runSerial is the seed evaluator's interleaved loop: one rule at a
-// time, one parent at a time, committing before the next generation.
-// Crawl-driving and self-recursive rules require it; it is also the
-// whole story at MaxConcurrency 1.
+// runSerial is the interleaved loop: one rule at a time, one parent at
+// a time, committing before the next generation. Crawl-driving and
+// self-recursive rules require it; it is also the whole story at
+// MaxConcurrency 1.
 func (r *runner) runSerial(rules []*Rule) (bool, error) {
 	changed := false
 	for _, rule := range rules {
-		var parents []*pib.Instance
-		if rule.DocURL != "" {
-			in, err := r.fetchDoc(rule.DocURL)
-			if err != nil {
-				return changed, fmt.Errorf("elog: rule for %s: %w", rule.Head, err)
-			}
-			parents = []*pib.Instance{in}
-		} else {
-			parents = r.base.Instances(rule.Parent)
+		parents, fresh, err := r.delta(rule)
+		if err != nil {
+			return changed, err
 		}
 		if rule.Extract != nil && rule.Extract.Kind == GetDocument {
-			// Open the crawl frontier: every URL this rule is
-			// about to request is known before the first fetch,
-			// so the pages download in parallel while rule
-			// application consumes them sequentially in stable
-			// order. Each parent is announced once; fixpoint
-			// re-iterations skip the text walk.
-			for _, s := range parents {
-				if r.announced[s] {
-					continue
-				}
-				r.announced[s] = true
+			// Open the crawl frontier: every URL this rule is about to
+			// request for the first time is known before the first
+			// fetch, so the pages download in parallel while rule
+			// application consumes them sequentially in stable order.
+			// Retried parents were announced when they were fresh.
+			for _, s := range fresh {
 				if url, ok := crawlURL(s); ok {
 					r.fr.prefetch(url)
 				}
@@ -391,18 +493,32 @@ func (r *runner) runSerial(rules []*Rule) (bool, error) {
 		}
 		for _, s := range parents {
 			added, err := r.applyRule(rule, s)
+			if errors.Is(err, errDangling) {
+				c := r.cursors[rule]
+				c.retry = append(c.retry, s)
+				continue
+			}
 			if err != nil {
 				return changed, err
 			}
 			if added {
 				changed = true
 			}
-			if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
-				return changed, fmt.Errorf("elog: instance limit exceeded (recursive wrapper runaway?)")
+			if err := r.checkLimit(); err != nil {
+				return changed, err
 			}
 		}
 	}
 	return changed, nil
+}
+
+// checkLimit enforces MaxInstances, the guard against runaway recursive
+// wrapping; both loops call it after every commit.
+func (r *runner) checkLimit() error {
+	if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
+		return errors.New("elog: instance limit exceeded (recursive wrapper runaway?)")
+	}
+	return nil
 }
 
 // fetchDoc returns the document instance for url, consuming the crawl
@@ -421,7 +537,7 @@ func (r *runner) fetchDoc(url string) (*pib.Instance, error) {
 	}
 	in := &pib.Instance{Pattern: "document", Kind: pib.DocumentInstance,
 		Doc: t, URL: url, Nodes: []dom.NodeID{t.Root()}}
-	in, _ = r.base.Add(in)
+	in, _ = r.add(in)
 	r.docs[url] = in
 	return in, nil
 }
@@ -579,7 +695,8 @@ type candidate struct {
 }
 
 // applyRule evaluates one rule for one parent instance; it returns
-// whether any new instance was added.
+// whether any new instance was added, or errDangling when the parent's
+// crawl fetch failed.
 func (r *runner) applyRule(rule *Rule, s *pib.Instance) (bool, error) {
 	accepted, err := r.ruleCandidates(rule, s)
 	if err != nil {
@@ -644,11 +761,23 @@ func (r *runner) commit(rule *Rule, s *pib.Instance, accepted []candidate) bool 
 			Pattern: rule.Head, Kind: c.kind, Doc: c.doc, URL: c.url,
 			Nodes: c.nodes, Text: c.text, Parent: s,
 		}
-		if _, added := r.base.Add(inst); added {
+		if _, added := r.add(inst); added {
 			changed = true
 		}
 	}
 	return changed
+}
+
+// add inserts an instance into the base and, when its pattern is
+// referenced and it covers a single node, into the reference index.
+func (r *runner) add(in *pib.Instance) (*pib.Instance, bool) {
+	in, added := r.base.Add(in)
+	if added && len(in.Nodes) == 1 {
+		if set, ok := r.refs[in.Pattern]; ok {
+			set[refKey{in.Doc, in.Nodes[0]}] = struct{}{}
+		}
+	}
+	return in, added
 }
 
 // firstOnly keeps the candidate earliest in document order — the
@@ -757,8 +886,9 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
-			// A dangling link is not a wrapper failure; crawling skips it.
-			return nil, nil
+			// A dangling link is not a wrapper failure; crawling skips
+			// it, and the caller retries it in the next pass.
+			return nil, errDangling
 		}
 		return []candidate{{kind: pib.NodeInstance, nodes: in.Nodes, doc: in.Doc, url: in.URL}}, nil
 	}
@@ -935,13 +1065,7 @@ func (r *runner) conditions(rule *Rule, s *pib.Instance, c candidate, b binding,
 		if !ok {
 			return false, fmt.Errorf("elog: rule for %s: pattern reference %s(_, %s) on unbound variable", rule.Head, cc.Pattern, cc.Var)
 		}
-		found := false
-		for _, in := range r.base.Instances(cc.Pattern) {
-			if in.Doc == c.doc && len(in.Nodes) == 1 && in.Nodes[0] == n {
-				found = true
-				break
-			}
-		}
+		_, found := r.refs[cc.Pattern][refKey{c.doc, n}]
 		if found == cc.Negated {
 			return false, nil
 		}

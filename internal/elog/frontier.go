@@ -57,11 +57,12 @@ func (fr *frontier) prefetch(url string) { fr.schedule(url, false) }
 func (fr *frontier) schedule(url string, force bool) *fetchResult {
 	fr.mu.Lock()
 	if res, ok := fr.pages[url]; ok {
-		// Failures are not served from cache: the seed interpreter
-		// attempted a fresh fetch on every consumption, so transient
-		// errors (an HTTP fetcher's one-off timeout) could heal across
-		// fixpoint iterations. A forced get on a completed failure
-		// therefore retries; successes stay cached for the run.
+		// Failures are not served from cache: the evaluator retries a
+		// parent whose fetch failed in the next fixpoint pass (see
+		// cursor.retry), so a transient error (an HTTP fetcher's
+		// one-off timeout) can heal within the run. A forced get on a
+		// completed failure therefore fetches again; successes stay
+		// cached for the run.
 		retry := false
 		if force {
 			select {

@@ -929,7 +929,6 @@ price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 			Fetcher:  sim,
 			Program:  elog.MustParse(prog),
 			Design:   design,
-			NoCache:  true,
 			Shared:   cache,
 			Batch:    mc,
 		}
@@ -1037,30 +1036,41 @@ func e24Eval(incremental bool) func(b *testing.B) {
 // e24Round builds the E24 fleet — nWrappers wrappers over one shared
 // churning page, fetched and parsed once per round through a shared
 // fetch cache — and returns one full poll round as a closure. Each
-// wrapper keeps its own compiled program across rounds; incremental
-// toggles subtree-fingerprint reuse, everything else is identical.
+// wrapper keeps its own compiled program across rounds. With
+// incremental on, the wrappers are wrapper sources; off, each round is
+// the full re-evaluation reference: every wrapper evaluates without
+// subtree reuse and transforms from scratch.
 func e24Round(nWrappers int, incremental bool) func() {
 	page, bump, prog, url := e24Setup()
 	sim := web.New()
 	sim.SetPage(url, page)
 	cache := fetchcache.New(4, time.Hour)
 	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}}
-	srcs := make([]*transform.WrapperSource, nWrappers)
-	for i := range srcs {
-		srcs[i] = &transform.WrapperSource{
-			CompName:      fmt.Sprintf("w%d", i),
-			Fetcher:       sim,
-			Program:       elog.MustParse(prog),
-			Design:        design,
-			NoCache:       true,
-			Shared:        cache,
-			NoIncremental: !incremental,
+	var srcs []*transform.WrapperSource
+	var cps []*elog.CompiledProgram
+	for i := 0; i < nWrappers; i++ {
+		if !incremental {
+			cps = append(cps, elog.MustCompile(elog.MustParse(prog)))
+			continue
 		}
+		srcs = append(srcs, &transform.WrapperSource{
+			CompName: fmt.Sprintf("w%d", i),
+			Fetcher:  sim,
+			Program:  elog.MustParse(prog),
+			Design:   design,
+			Shared:   cache,
+		})
 	}
+	fetch := cache.Wrap(sim)
 	pollRound := func() {
 		bump()
 		cache.Flush() // one freshness window per round
 		pollFleet(srcs)
+		for _, cp := range cps {
+			base, err := elog.NewEvaluator(fetch).RunCompiled(cp)
+			check(err)
+			design.Transform(base)
+		}
 	}
 	pollRound() // warm: compile every program, seed the subtree caches
 	return pollRound
@@ -1083,24 +1093,21 @@ func e24ChurnIncremental() {
 
 // e26Tick builds one long-lived wrapper over the E24 churn workload
 // and returns (advance, tick): advance rewrites the page and re-parses
-// it off the clock; tick runs one Poll and encodes the resulting
-// document to bytes — the full evaluate→transform→encode cost a
-// scheduler tick pays per wrapper. With incremental on, all three
-// reuse layers engage: subtree-fingerprint match reuse in the
-// evaluator, content-hash output-subtree splicing in the transformer,
-// and frozen-subtree byte splicing in the encoder. With it off, every
-// tick re-evaluates, rebuilds the output tree and re-encodes from
+// it off the clock; tick runs one evaluate→transform→encode round and
+// returns the encoded bytes — the cost a scheduler tick pays per
+// wrapper. With incremental on, tick is one wrapper-source Poll plus
+// the splice encoder, so all three reuse layers engage:
+// subtree-fingerprint match reuse in the evaluator, content-hash
+// output-subtree splicing in the transformer, and frozen-subtree byte
+// splicing in the encoder. Off, tick is the full-rebuild reference:
+// the compiled program is held across ticks, but every tick evaluates
+// without subtree reuse, rebuilds the output tree and re-encodes from
 // scratch.
 func e26Tick(incremental bool) (advance func(), tick func() []byte) {
 	page, bump, prog, url := e24Setup()
-	src := &transform.WrapperSource{
-		CompName:            "e26",
-		Program:             elog.MustParse(prog),
-		Design:              &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}},
-		NoCache:             true,
-		NoIncremental:       !incremental,
-		NoIncrementalOutput: !incremental,
-	}
+	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}}
+	src := &transform.WrapperSource{CompName: "e26", Program: elog.MustParse(prog), Design: design}
+	cp := elog.MustCompile(src.Program)
 	enc := xmlenc.NewEncoder()
 	advance = func() {
 		bump()
@@ -1109,12 +1116,16 @@ func e26Tick(incremental bool) (advance func(), tick func() []byte) {
 		src.Fetcher = elog.MapFetcher{url: tr}
 	}
 	tick = func() []byte {
+		if !incremental {
+			base, err := elog.NewEvaluator(src.Fetcher).RunCompiled(cp)
+			check(err)
+			doc := design.Transform(base)
+			doc.SetAttr("source", src.CompName)
+			return xmlenc.MarshalIndentBytes(doc)
+		}
 		docs, err := src.Poll()
 		check(err)
-		if incremental {
-			return enc.MarshalIndentBytes(docs[0])
-		}
-		return xmlenc.MarshalIndentBytes(docs[0])
+		return enc.MarshalIndentBytes(docs[0])
 	}
 	advance()
 	tick() // warm: compile, seed the match/output/encoder caches

@@ -4,7 +4,7 @@
 //
 //	lixtoserver [-addr :8080] [-interval 2s] [-steps N] [-history N] [-pprof] [-allow-dynamic]
 //	            [-shards N] [-workers N] [-jitter F] [-cache-entries N] [-cache-ttl D]
-//	            [-watch-queue N] [-watch-heartbeat D] [-incremental-output]
+//	            [-watch-queue N] [-watch-heartbeat D]
 //	            [-data-dir DIR] [-wal-fsync batch|always|off] [-wal-segment-bytes N]
 //	            [-wal-max-segments N] [-wal-max-age D] [-wal-compact-segments N]
 //	            [-webhook-timeout D] [-webhook-max-attempts N] [-webhook-cooldown D]
@@ -44,14 +44,13 @@
 // wrappers, so fleets stamped from one template reuse each other's
 // compiled pattern matches on shared pages (batched fleet extraction;
 // /statusz reports the match_cache block).
-// -incremental-output (default on) carries content-addressed reuse
-// through the whole tick: wrapper sources retain the previous tick's
-// instance base and emitted XML subtrees, rebuild only the subtrees
-// whose instances changed, and the delivery plane re-encodes snapshots
-// by splicing the cached byte ranges of unchanged frozen subtrees —
-// published bytes (and ETags) are identical to a full rebuild, at a
-// cost proportional to the dirty region. Disable it to pin or measure
-// the full-rebuild path.
+// Every tick carries content-addressed reuse end to end: wrapper
+// sources retain the previous tick's instance base and emitted XML
+// subtrees, rebuild only the subtrees whose instances changed, and the
+// delivery plane re-encodes snapshots by splicing the cached byte
+// ranges of unchanged frozen subtrees — published bytes (and ETags)
+// are identical to a full rebuild, at a cost proportional to the dirty
+// region.
 // Reads are served from immutable pre-encoded snapshots (strong ETags,
 // If-None-Match → 304, gzip) and each wrapper's change feed streams at
 // GET /v1/wrappers/{name}/watch as Server-Sent Events: -watch-queue
@@ -124,8 +123,6 @@ func main() {
 	walMaxAge := flag.Duration("wal-max-age", 0, "drop closed segments older than this (0 = keep by count only)")
 	walCompactSegments := flag.Int("wal-compact-segments", 0,
 		"checkpoint-compact a wrapper's log once this many closed segments accumulate (0 disables)")
-	incrementalOutput := flag.Bool("incremental-output", true,
-		"reuse unchanged output subtrees and encoded byte ranges across ticks (off = full rebuild per tick)")
 	webhookTimeout := flag.Duration("webhook-timeout", 0, "outbound webhook request timeout (0 = default 5s)")
 	webhookAttempts := flag.Int("webhook-max-attempts", 0,
 		"consecutive webhook failures before the circuit breaker opens (0 = default 6)")
@@ -177,17 +174,16 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Addr:                *addr,
-		DefaultInterval:     *interval,
-		EnablePprof:         *pprofFlag,
-		SchedulerShards:     *shards,
-		SchedulerWorkers:    *workers,
-		SchedulerJitter:     *jitter,
-		WatchQueue:          *watchQueue,
-		WatchHeartbeat:      *watchHeartbeat,
-		WebhookTimeout:      *webhookTimeout,
-		WebhookCooldown:     *webhookCooldown,
-		NoIncrementalOutput: !*incrementalOutput,
+		Addr:             *addr,
+		DefaultInterval:  *interval,
+		EnablePprof:      *pprofFlag,
+		SchedulerShards:  *shards,
+		SchedulerWorkers: *workers,
+		SchedulerJitter:  *jitter,
+		WatchQueue:       *watchQueue,
+		WatchHeartbeat:   *watchHeartbeat,
+		WebhookTimeout:   *webhookTimeout,
+		WebhookCooldown:  *webhookCooldown,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -10,8 +10,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/datalog"
+	"repro/internal/htmlparse"
+	"repro/internal/mdatalog"
 	"repro/internal/xmlenc"
+	"repro/internal/xpath"
 	"repro/pkg/lixto"
 )
 
@@ -53,18 +56,28 @@ func main() {
 	fmt.Print(xmlenc.MarshalIndent(res.XML()))
 
 	// The same document is queryable with XPath and monadic datalog.
-	doc := core.ParseHTML(page)
-	cheap, err := core.XPath(doc, "//tr[td[@class='price'] and count(td)=2]/td[1]")
+	doc := htmlparse.Parse(page)
+	query, err := xpath.Parse("//tr[td[@class='price'] and count(td)=2]/td[1]")
+	if err != nil {
+		log.Fatal(err)
+	}
+	cheap, err := xpath.EvalFull(query, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nXPath found %d title cells\n", len(cheap))
 
-	titles, err := core.MonadicDatalog(doc, `
+	// Monadic datalog over the tree signature, evaluated in
+	// O(|P|·|dom|) (Theorem 2.4).
+	prog, err := datalog.Parse(`
 intable(X) :- label_table(X0), child(X0, X).
 intable(X) :- intable(X0), child(X0, X).
 cell(X) :- intable(X), label_td(X).
-`, "cell")
+`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	titles, err := mdatalog.Query(prog, doc, "cell")
 	if err != nil {
 		log.Fatal(err)
 	}

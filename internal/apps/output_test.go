@@ -4,17 +4,44 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/elog"
+	"repro/internal/pib"
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
 )
 
+// fullRebuild renders src's program over fetch the way a full rebuild
+// does: a fresh compile evaluated without incremental reuse,
+// transformed with pib.Design.Transform (the wrapper source's default
+// design when src has none), given the source's attribute, and encoded
+// with xmlenc.MarshalIndentBytes.
+func fullRebuild(src *transform.WrapperSource, fetch elog.Fetcher) ([]byte, error) {
+	cp, err := elog.Compile(src.Program)
+	if err != nil {
+		return nil, err
+	}
+	base, err := elog.NewEvaluator(fetch).RunCompiled(cp)
+	if err != nil {
+		return nil, err
+	}
+	design := src.Design
+	if design == nil {
+		design = &pib.Design{Auxiliary: map[string]bool{"document": true}}
+	}
+	doc := design.Transform(base)
+	if !src.NoSourceAttr {
+		doc.SetAttr("source", src.CompName)
+	}
+	return xmlenc.MarshalIndentBytes(doc), nil
+}
+
 // TestAppWrappersOutputDifferential extends the incremental
 // differential to the output layer: for every Section 6 application
 // wrapper, a long-lived source with incremental matching, incremental
 // output, and the splice-based encoder must serve bytes identical to a
-// cold source that rebuilds and re-encodes everything, at every step of
-// a lockstep churn sequence.
+// full rebuild and re-encode of every step of a lockstep churn
+// sequence.
 func TestAppWrappersOutputDifferential(t *testing.T) {
 	engines := map[string]*transform.Engine{}
 	if app, err := NewNowPlaying(17); err == nil {
@@ -68,16 +95,10 @@ func TestAppWrappersOutputDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s grow=%v step %d incremental: %v", appName, src.CompName, grow, step, err)
 					}
-					cold := &transform.WrapperSource{
-						CompName: src.CompName, Fetcher: churnCold,
-						Program: src.Program, Design: src.Design,
-						NoIncremental: true, NoIncrementalOutput: true, NoCache: true,
-					}
-					want, err := cold.Poll()
+					coldBytes, err := fullRebuild(src, churnCold)
 					if err != nil {
 						t.Fatalf("%s/%s grow=%v step %d cold: %v", appName, src.CompName, grow, step, err)
 					}
-					coldBytes := xmlenc.MarshalIndentBytes(want[0])
 					incBytes := enc.MarshalIndentBytes(got[0])
 					if !bytes.Equal(incBytes, coldBytes) {
 						t.Errorf("%s/%s grow=%v step %d: incremental+spliced bytes diverge from cold rebuild:\n--- cold ---\n%s--- incremental ---\n%s",

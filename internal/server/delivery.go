@@ -223,11 +223,8 @@ type delivery struct {
 	etagMisses atomic.Uint64 // conditional GETs that had to send the body
 
 	// enc is the pipeline's splice encoder (see xmlenc.Encoder), built
-	// on first publish and used only under pubMu. noSplice (set at
-	// initPipe from Config.NoIncrementalOutput) keeps it nil, pinning
-	// the stateless encode path.
-	enc      *xmlenc.Encoder
-	noSplice bool
+	// on first publish and used only under pubMu.
+	enc *xmlenc.Encoder
 
 	histMu      sync.Mutex
 	histVersion uint64
@@ -281,7 +278,7 @@ func (d *delivery) publish(out *transform.Collector) *snapshot {
 		cur.version.Store(v)
 		d.suppressed.Add(1)
 	default:
-		if d.enc == nil && !d.noSplice {
+		if d.enc == nil {
 			d.enc = xmlenc.NewEncoder()
 		}
 		fresh := newSnapshotEnc(d.enc, doc, v, d.seq.Load()+1)

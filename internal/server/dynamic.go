@@ -1,55 +1,53 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/elog"
 	"repro/internal/transform"
 	"repro/pkg/lixto"
 )
 
 // dynPipeline is a wrapper compiled and registered at runtime through
-// POST /v1/wrappers: a single-wrapper transform engine (source →
-// collector) driving the scheduled path, plus the SDK wrapper itself
-// for synchronous one-shot extractions. Both paths share the compiled
-// program and its match caches.
+// POST /v1/wrappers: one wrapper source feeding one collector on the
+// scheduled path, plus the SDK wrapper itself for synchronous one-shot
+// extractions. Both paths share the compiled program and its match
+// caches.
 type dynPipeline struct {
 	name string
 	w    *lixto.Wrapper
-	eng  *transform.Engine
+	src  *transform.WrapperSource
 	out  *transform.Collector
 }
 
 // newDynPipeline compiles nothing: it wires an already-compiled SDK
 // wrapper into a schedulable pipeline, optionally attached to the
 // server's fleet-shared match cache (nil batch disables batching).
+// The emitted documents carry no source attribute, so each delivery is
+// byte-identical to running the same program through the SDK.
 // Scheduling (interval vs on-demand) lives in the server's pipeState
-// and may change over the pipeline's lifetime via PATCH. noIncOutput
-// pins the wrapper source to full per-tick XML rebuilds
-// (Config.NoIncrementalOutput).
-func newDynPipeline(name string, w *lixto.Wrapper, f elog.Fetcher, batch *elog.MatchCache, noIncOutput bool) (*dynPipeline, error) {
-	eng, out, err := transform.NewWrapperEngineBatched(name, w, f, nil, batch)
-	if err != nil {
-		return nil, err
-	}
-	if noIncOutput {
-		for _, c := range eng.Components() {
-			if src, ok := c.(*transform.WrapperSource); ok {
-				src.NoIncrementalOutput = true
-			}
-		}
-	}
-	return &dynPipeline{name: name, w: w, eng: eng, out: out}, nil
+// and may change over the pipeline's lifetime via PATCH.
+func newDynPipeline(name string, w *lixto.Wrapper, f elog.Fetcher, batch *elog.MatchCache) *dynPipeline {
+	src := transform.NewWrapperSource(name, w, f)
+	src.NoSourceAttr = true
+	src.Batch = batch
+	return &dynPipeline{name: name, w: w, src: src, out: &transform.Collector{CompName: name + ".out"}}
 }
 
 // PipeName implements Pipeline.
 func (d *dynPipeline) PipeName() string { return d.name }
 
-// Tick implements Pipeline: one engine activation round, reporting any
-// error newly logged during the round.
+// Tick implements Pipeline: one poll of the wrapper source, its
+// documents handed to the collector.
 func (d *dynPipeline) Tick() error {
-	before := d.eng.ErrorCount()
-	d.eng.Tick()
-	if d.eng.ErrorCount() > before {
-		return d.eng.LastError()
+	docs, err := d.src.Poll()
+	if err != nil {
+		return fmt.Errorf("source %s: %w", d.name, err)
+	}
+	for _, doc := range docs {
+		if _, err := d.out.Process(d.name, doc); err != nil {
+			return fmt.Errorf("component %s: %w", d.out.CompName, err)
+		}
 	}
 	return nil
 }
@@ -59,7 +57,7 @@ func (d *dynPipeline) Output() *transform.Collector { return d.out }
 
 // Close detaches the pipeline's wrapper source from the fleet-shared
 // match cache, so batch_size stops counting retired wrappers.
-func (d *dynPipeline) Close() { d.eng.Close() }
+func (d *dynPipeline) Close() { d.src.Close() }
 
 // ExtractionStats implements ExtractionStatser, folding in the SDK
 // wrapper's output-cache counters: one-shot extractions (POST
@@ -67,7 +65,7 @@ func (d *dynPipeline) Close() { d.eng.Close() }
 // the scheduled wrapper source, and their reuse must surface in
 // /statusz and the /v1 listing all the same.
 func (d *dynPipeline) ExtractionStats() transform.ExtractionStats {
-	st := d.eng.ExtractionStats()
+	st := d.src.ExtractionStats()
 	o := d.w.OutputStats()
 	st.OutputReusedNodes += o.ReusedNodes
 	st.OutputBuiltNodes += o.BuiltNodes

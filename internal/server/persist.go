@@ -294,10 +294,7 @@ func (s *Server) restoreDynamic(spec wrapperSpec) error {
 	if err != nil {
 		return err
 	}
-	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache, s.cfg.NoIncrementalOutput)
-	if err != nil {
-		return err
-	}
+	d := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache)
 	interval := time.Duration(spec.IntervalMS) * time.Millisecond
 	onDemand := spec.IntervalMS <= 0
 	if interval <= 0 {

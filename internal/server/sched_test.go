@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/fetchcache"
-	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/pkg/lixto"
 )
@@ -285,18 +284,14 @@ func TestStatuszSchedulerAndCacheShape(t *testing.T) {
 	}
 }
 
-// guardPipe drives a single-wrapper transform engine (the dynamic
-// /v1 pipeline shape) while detecting concurrent ticks of itself.
+// guardPipe drives a dynamic /v1 wrapper pipeline while detecting
+// concurrent ticks of itself.
 type guardPipe struct {
-	name     string
-	eng      *transform.Engine
-	out      *transform.Collector
+	*dynPipeline
 	inFlight atomic.Int32
 	overlaps atomic.Int32
 	ticks    atomic.Uint64
 }
-
-func (p *guardPipe) PipeName() string { return p.name }
 
 func (p *guardPipe) Tick() error {
 	if p.inFlight.Add(1) > 1 {
@@ -304,15 +299,8 @@ func (p *guardPipe) Tick() error {
 	}
 	defer p.inFlight.Add(-1)
 	p.ticks.Add(1)
-	before := p.eng.ErrorCount()
-	p.eng.Tick()
-	if p.eng.ErrorCount() > before {
-		return p.eng.LastError()
-	}
-	return nil
+	return p.dynPipeline.Tick()
 }
-
-func (p *guardPipe) Output() *transform.Collector { return p.out }
 
 // TestSchedulerStress is the 1000-wrapper soak: real Elog wrappers
 // over 10 shared simulated pages behind one shared fetch cache,
@@ -356,12 +344,7 @@ func TestSchedulerStress(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < nWrappers; i += 8 {
 				name := fmt.Sprintf("w%d", i)
-				eng, out, err := transform.NewWrapperEngineCached(name, wrappers[i%nPages], fetcher, cache)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				p := &guardPipe{name: name, eng: eng, out: out}
+				p := &guardPipe{dynPipeline: newDynPipeline(name, wrappers[i%nPages], fetcher, nil)}
 				if err := s.RegisterDynamic(p, time.Duration(2+i%8)*time.Millisecond, false); err != nil {
 					registerFailures.Add(1)
 					continue

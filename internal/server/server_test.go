@@ -227,7 +227,11 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 	}
 	base := "http://" + s.Addr()
 
-	// While the pipelines tick, hammer every endpoint in parallel.
+	// While the pipelines tick, hammer every endpoint in parallel. The
+	// test owns its client so it can close the idle connections before
+	// shutdown: the transport may dial a connection it never uses, and
+	// Shutdown waits up to 5s for such a connection.
+	client := &http.Client{Transport: &http.Transport{}}
 	var wg sync.WaitGroup
 	var health200 atomic.Int64
 	stop := make(chan struct{})
@@ -249,7 +253,7 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 				if j%2 == 0 {
 					req.Header.Set("Accept", "application/json")
 				}
-				resp, err := http.DefaultClient.Do(req)
+				resp, err := client.Do(req)
 				if err != nil {
 					continue // transient during shutdown races
 				}
@@ -278,6 +282,7 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 		}
 	}
 
+	client.CloseIdleConnections()
 	cancel()
 	select {
 	case err := <-done:

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/web"
+	"repro/internal/xmlenc"
 	"repro/pkg/lixto"
 )
 
@@ -19,12 +21,14 @@ name(S, X) <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
 // newSplicePipe builds a scheduled dynamic pipeline over a churning
 // catalogue page: each bump rewrites exactly one row, leaving the rest
 // byte-identical — the shape where incremental output reuses frozen
-// row subtrees and the delivery encoder can splice their bytes.
-func newSplicePipe(t *testing.T, name string, noIncOutput bool) (d *dynPipeline, bump func()) {
+// row subtrees and the delivery encoder can splice their bytes. It
+// returns the simulated web so the test can render the same page
+// version through the full-rebuild oracle.
+func newSplicePipe(t *testing.T, name string) (d *dynPipeline, sim *web.Web, bump func()) {
 	t.Helper()
 	const rows = 16
 	version := 0
-	sim := web.New()
+	sim = web.New()
 	sim.SetPage("churn.test/cat", func() string {
 		var sb strings.Builder
 		sb.WriteString("<html><body><table>")
@@ -39,72 +43,66 @@ func newSplicePipe(t *testing.T, name string, noIncOutput bool) (d *dynPipeline,
 		return sb.String()
 	})
 	w, err := lixto.Compile(spliceProg, lixto.WithAuxiliary("page"), lixto.WithFetcher(sim),
-		lixto.WithIncrementalOutput(!noIncOutput))
+		lixto.WithIncrementalOutput(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = newDynPipeline(name, w, sim, nil, noIncOutput)
+	return newDynPipeline(name, w, sim, nil), sim, func() { version++ }
+}
+
+// spliceOracle renders the page's current version as a full rebuild:
+// a fresh compile evaluated without incremental reuse, transformed
+// with pib.Design.Transform and encoded with xmlenc.MarshalIndentBytes.
+func spliceOracle(t *testing.T, sim *web.Web) []byte {
+	t.Helper()
+	w, err := lixto.Compile(spliceProg, lixto.WithAuxiliary("page"), lixto.WithFetcher(sim),
+		lixto.WithIncremental(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, func() { version++ }
+	res, err := w.Extract(context.Background(), lixto.Origin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xmlenc.MarshalIndentBytes(w.Design().Transform(res.Base))
 }
 
 // TestDeliverySpliceEncoding pins the splice path end to end through
-// the real scheduled route: a churning wrapper on a default server
-// (incremental output on) serves bodies and ETags byte-identical to
-// the same wrapper on a NoIncrementalOutput server, while only the
-// former's delivery encoder splices reused byte ranges — and the
-// counter is visible in the GET /v1/wrappers listing.
+// the real scheduled route: a churning wrapper serves bodies and ETags
+// byte-identical to a full rebuild of every page version, while its
+// delivery encoder splices reused byte ranges — and the counter is
+// visible in the GET /v1/wrappers listing.
 func TestDeliverySpliceEncoding(t *testing.T) {
 	sInc := New(Config{})
-	sFull := New(Config{NoIncrementalOutput: true})
-	pInc, bumpInc := newSplicePipe(t, "cat", false)
-	pFull, bumpFull := newSplicePipe(t, "cat", true)
+	pInc, sim, bumpInc := newSplicePipe(t, "cat")
 	if err := sInc.RegisterDynamic(pInc, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := sFull.RegisterDynamic(pFull, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	tsInc := httptest.NewServer(sInc.Handler())
 	defer tsInc.Close()
-	tsFull := httptest.NewServer(sFull.Handler())
-	defer tsFull.Close()
 
-	tick := func(s *Server, d *dynPipeline) {
-		t.Helper()
-		if err := d.Tick(); err != nil {
+	for i := 0; i < 6; i++ {
+		if err := pInc.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if ps := s.readPipe(d.name); ps != nil {
-			ps.deliver.snapshot(d.out)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		tick(sInc, pInc)
-		tick(sFull, pFull)
+		sInc.readPipe("cat").deliver.snapshot(pInc.out)
 		_, bodyInc, hdrInc := do(t, "GET", tsInc.URL+"/cat", nil)
-		_, bodyFull, hdrFull := do(t, "GET", tsFull.URL+"/cat", nil)
 		if !strings.Contains(bodyInc, "<row>") || !strings.Contains(bodyInc, "catalogue item") {
 			t.Fatalf("round %d: extraction produced no rows (vacuous differential):\n%s", i, bodyInc)
 		}
-		if bodyInc != bodyFull {
-			t.Fatalf("round %d: spliced body diverges from full re-encode:\n--- spliced ---\n%s--- full ---\n%s",
-				i, bodyInc, bodyFull)
+		full := spliceOracle(t, sim)
+		if bodyInc != string(full) {
+			t.Fatalf("round %d: spliced body diverges from full rebuild:\n--- spliced ---\n%s--- full ---\n%s",
+				i, bodyInc, full)
 		}
-		if hdrInc.Get("ETag") != hdrFull.Get("ETag") {
-			t.Fatalf("round %d: ETag %q vs %q", i, hdrInc.Get("ETag"), hdrFull.Get("ETag"))
+		if got, want := hdrInc.Get("ETag"), etagFor(full, 'x'); got != want {
+			t.Fatalf("round %d: ETag %q, full rebuild %q", i, got, want)
 		}
 		bumpInc()
-		bumpFull()
 	}
 
 	if got := sInc.readPipe("cat").deliver.splicedBytes(); got == 0 {
 		t.Error("incremental server spliced no bytes over 6 one-row-churn rounds")
-	}
-	if got := sFull.readPipe("cat").deliver.splicedBytes(); got != 0 {
-		t.Errorf("NoIncrementalOutput server spliced %d bytes; want 0", got)
 	}
 
 	// The counter surfaces through the public listing.

@@ -330,11 +330,7 @@ func (s *Server) v1CreateWrapper(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	onDemand := spec.IntervalMS <= 0
-	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache, s.cfg.NoIncrementalOutput)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-		return
-	}
+	d := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache)
 	if err := s.RegisterDynamic(d, time.Duration(spec.IntervalMS)*time.Millisecond, onDemand); err != nil {
 		switch {
 		case errors.Is(err, errDuplicatePipeline):
@@ -395,17 +391,13 @@ func (s *Server) dynamicFetcher() elog.Fetcher {
 // compileSpec compiles a submitted program and resolves its fetcher:
 // the inline page when given, else the server's dynamic fetcher
 // (behind the shared cache when configured). The returned error is a
-// typed SDK error. Unless the server runs with NoIncrementalOutput,
-// the wrapper is compiled with incremental output on, so repeated
-// one-shot extractions (POST .../extract) reuse frozen output
-// subtrees across page versions just like scheduled ticks do — safe
-// here because the delivery plane never mutates delivered documents.
+// typed SDK error. The wrapper is compiled with incremental output on,
+// so repeated one-shot extractions (POST .../extract) reuse frozen
+// output subtrees across page versions just like scheduled ticks do —
+// safe here because the delivery plane never mutates delivered
+// documents.
 func (s *Server) compileSpec(program, root string, aux []string, inlineHTML string) (*lixto.Wrapper, elog.Fetcher, error) {
-	opts := specOptions(root, aux)
-	if !s.cfg.NoIncrementalOutput {
-		opts = append(opts, lixto.WithIncrementalOutput(true))
-	}
-	lw, err := lixto.Compile(program, opts...)
+	lw, err := lixto.Compile(program, append(specOptions(root, aux), lixto.WithIncrementalOutput(true))...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,9 +10,9 @@ import (
 
 // FuzzIncrementalTransform drives the whole end-to-end incremental
 // tick under fuzzed churn and pins both byte-identity guarantees at
-// once: (1) a wrapper source with incremental matching and incremental
-// output must emit XML identical to a cold full re-evaluation of every
-// document version; (2) the splice-based xmlenc.Encoder must produce
+// once: (1) a wrapper source (incremental matching and incremental
+// output) must emit XML identical to a full rebuild of every document
+// version; (2) the splice-based xmlenc.Encoder must produce
 // the exact bytes of the plain marshaler for every emitted document.
 func FuzzIncrementalTransform(f *testing.F) {
 	f.Add(int64(1), uint8(4), false)
@@ -32,15 +32,8 @@ func FuzzIncrementalTransform(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d incremental: %v", step, err)
 			}
-			cold := newChurnSource(churnCold)
-			cold.NoIncremental = true
-			cold.NoIncrementalOutput = true
-			want, err := cold.Poll()
-			if err != nil {
-				t.Fatalf("step %d cold: %v", step, err)
-			}
 			plain := xmlenc.MarshalIndentBytes(got[0])
-			if want, got := xmlenc.MarshalIndentBytes(want[0]), plain; !bytes.Equal(got, want) {
+			if want, got := fullRebuild(t, churnCold), plain; !bytes.Equal(got, want) {
 				t.Fatalf("step %d: incremental output differs from cold rebuild:\n--- cold ---\n%s\n--- incremental ---\n%s", step, want, got)
 			}
 			if spliced := enc.MarshalIndentBytes(got[0]); !bytes.Equal(spliced, plain) {

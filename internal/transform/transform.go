@@ -12,19 +12,15 @@
 // self-activate according to a schedule and trigger processing on behalf
 // of the user.
 //
-// The engine supports two execution modes: Tick() runs one synchronous
-// activation round (deterministic; used by tests and benchmarks), and
-// Run(ctx, interval) drives Ticks from a wall-clock ticker, giving the
-// continuous monitoring behaviour of the deployed system.
+// Engine.Tick runs one synchronous activation round and is
+// deterministic given the sources' state. The deployed system's
+// continuous monitoring is the server's scheduler (internal/server)
+// calling Tick on each pipeline's schedule.
 package transform
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,17 +93,6 @@ func (e *Engine) Components() []Component {
 		out = append(out, e.comps[name])
 	}
 	return out
-}
-
-// Close releases component resources held outside the engine — today,
-// wrapper sources detaching from a fleet-shared match cache. The
-// engine must not tick concurrently with or after Close.
-func (e *Engine) Close() {
-	for _, c := range e.Components() {
-		if cl, ok := c.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	}
 }
 
 // Connect wires from's output to to's input. The pipe network must stay
@@ -206,21 +191,6 @@ func (e *Engine) LastError() error {
 	return e.lastErr
 }
 
-// Run ticks the engine at the given interval until the context is
-// cancelled — the continuous-service mode.
-func (e *Engine) Run(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			e.Tick()
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Wrapper source.
 
@@ -240,8 +210,18 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 // poll first re-fetches only those pages. If every fingerprint is
 // unchanged, the wrapper evaluation is deterministic on the same
 // inputs, so the previous output document is re-emitted without
-// re-running the Elog program or the XML transformation. Set NoCache to
-// disable.
+// re-running the Elog program or the XML transformation.
+//
+// A changed-fingerprint poll re-evaluates incrementally: the compiled
+// program's content-addressed subtree caches persist across polls, so
+// the regions of the new document version that are byte-identical to
+// the previous one resolve their matches from cache and only the dirty
+// regions run the bitset matcher (elog.Evaluator.Incremental). The XML
+// transform then reuses output across polls (pib.OutputCache): it
+// splices the frozen, already-built subtrees of every instance whose
+// content-addressed output hash is unchanged and rebuilds only the
+// dirty ones. Output is byte-identical to a full rebuild; the
+// differential tests and FuzzIncrementalTransform compare the two.
 type WrapperSource struct {
 	CompName string
 	Fetcher  elog.Fetcher
@@ -251,8 +231,6 @@ type WrapperSource struct {
 	// slower upgrade intervals (charts vs radio, Section 6.1) poll less
 	// often.
 	Every int
-	// NoCache disables the fingerprint-keyed result cache.
-	NoCache bool
 	// NoSourceAttr suppresses the source="name" attribute on emitted
 	// documents, so the output is byte-identical to running the same
 	// program through the SDK or cmd/elogc (the /v1 dynamic wrappers
@@ -272,25 +250,7 @@ type WrapperSource struct {
 	// one shared page costs about one parse plus one warmed match cache.
 	// Output is unchanged; pair with Shared to also share the fetches.
 	Batch *elog.MatchCache
-	// NoIncremental disables subtree-fingerprint match reuse
-	// (elog.Evaluator.Incremental). By default a changed-fingerprint
-	// tick re-evaluates incrementally: the compiled program's
-	// content-addressed subtree caches persist across polls, so the
-	// regions of the new document version that are byte-identical to
-	// the previous one resolve their matches from cache and only the
-	// dirty regions run the bitset matcher. Output is bit-identical
-	// either way; set this only to measure or to pin the full
-	// re-evaluation behaviour.
-	NoIncremental bool
-	// NoIncrementalOutput disables cross-tick output reuse (the
-	// pib.OutputCache). By default the source retains the previous
-	// tick's instance base and emitted subtrees: the XML transform
-	// splices frozen, already-built xmlenc subtrees for every instance
-	// whose content-addressed output hash is unchanged and rebuilds
-	// only the dirty ones. Output is byte-identical either way; set
-	// this only to measure or to pin the full-rebuild behaviour.
-	NoIncrementalOutput bool
-	tick                int
+	tick  int
 	// shared is the cache-wrapped form of Fetcher, built on first use.
 	shared elog.Fetcher
 	// batchAttached records that this source has counted itself into
@@ -610,19 +570,15 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 		return nil, s.compileErr
 	}
 	prefetched := map[string]*dom.Tree{}
-	if !s.NoCache {
-		if s.unchanged(prefetched) {
-			s.statsMu.Lock()
-			s.CacheHits++
-			s.statsMu.Unlock()
-			return []*xmlenc.Node{s.lastDoc}, nil
-		}
-	} else {
-		prefetched = nil
+	if s.unchanged(prefetched) {
+		s.statsMu.Lock()
+		s.CacheHits++
+		s.statsMu.Unlock()
+		return []*xmlenc.Node{s.lastDoc}, nil
 	}
 	rec := &recordingFetcher{inner: s.fetchClient(), prefetched: prefetched}
 	ev := elog.NewEvaluator(rec)
-	ev.Incremental = !s.NoIncremental
+	ev.Incremental = true
 	if s.Batch != nil {
 		ev.Shared = s.Batch
 		s.statsMu.Lock()
@@ -646,20 +602,13 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 		design = &pib.Design{Auxiliary: map[string]bool{"document": true}}
 	}
 	tstart := time.Now()
-	var doc *xmlenc.Node
-	if s.NoIncrementalOutput {
-		doc = design.Transform(base)
-	} else {
-		if s.outCache == nil {
-			s.outCache = pib.NewOutputCache()
-		}
-		doc = design.TransformIncremental(base, s.outCache)
+	if s.outCache == nil {
+		s.outCache = pib.NewOutputCache()
 	}
+	doc := design.TransformIncremental(base, s.outCache)
 	s.statsMu.Lock()
 	s.transformNS += time.Since(tstart).Nanoseconds()
-	if s.outCache != nil {
-		s.outStats = s.outCache.Stats()
-	}
+	s.outStats = s.outCache.Stats()
 	s.statsMu.Unlock()
 	if !s.NoSourceAttr {
 		doc.SetAttr("source", s.CompName)
@@ -966,55 +915,4 @@ func (c *Collector) Retained() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.docs)
-}
-
-// FileDeliverer appends each document to a file (one document per
-// write), for offline consumption.
-type FileDeliverer struct {
-	CompName string
-	Path     string
-}
-
-// Name implements Component.
-func (f *FileDeliverer) Name() string { return f.CompName }
-
-// Process implements Component.
-func (f *FileDeliverer) Process(_ string, doc *xmlenc.Node) ([]*xmlenc.Node, error) {
-	fh, err := os.OpenFile(f.Path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	if _, err := fh.WriteString(xmlenc.MarshalIndent(doc) + "\n"); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// HTTPDeliverer POSTs each document to an endpoint (the paper's
-// HTTP-controlled services).
-type HTTPDeliverer struct {
-	CompName string
-	URL      string
-	Client   *http.Client
-}
-
-// Name implements Component.
-func (h *HTTPDeliverer) Name() string { return h.CompName }
-
-// Process implements Component.
-func (h *HTTPDeliverer) Process(_ string, doc *xmlenc.Node) ([]*xmlenc.Node, error) {
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Post(h.URL, "application/xml", strings.NewReader(xmlenc.Marshal(doc)))
-	if err != nil {
-		return nil, err
-	}
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("transform: delivery to %s failed: %s", h.URL, resp.Status)
-	}
-	return nil, nil
 }

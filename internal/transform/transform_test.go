@@ -1,23 +1,16 @@
 package transform
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/elog"
 	"repro/internal/htmlparse"
 	"repro/internal/pib"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // bookPipeline wires the small information pipe of Figure 7: two
@@ -217,48 +210,6 @@ func TestWrapperSourcePollInterval(t *testing.T) {
 	}
 }
 
-func TestFileDeliverer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.xml")
-	f := &FileDeliverer{CompName: "f", Path: path}
-	doc := xmlenc.NewElement("d")
-	doc.AppendTextElement("v", "1")
-	if _, err := f.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(string(data), "<d>") != 2 {
-		t.Errorf("file content:\n%s", data)
-	}
-}
-
-func TestHTTPDeliverer(t *testing.T) {
-	var mu sync.Mutex
-	var got []string
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		got = append(got, string(body))
-		mu.Unlock()
-	}))
-	defer srv.Close()
-	h := &HTTPDeliverer{CompName: "h", URL: srv.URL}
-	doc := xmlenc.NewElement("ping")
-	if _, err := h.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || !strings.Contains(got[0], "<ping/>") {
-		t.Errorf("delivered: %v", got)
-	}
-}
-
 func BenchmarkE13_PipelineThroughput(b *testing.B) {
 	w := web.New()
 	web.NewBookSite(1, 50).Register(w, "shop-a.example.com")
@@ -287,34 +238,6 @@ price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 	}
 	if sink.Len() == 0 {
 		b.Fatal("no deliveries")
-	}
-}
-
-func TestRunWallClock(t *testing.T) {
-	// The continuous mode: ticks driven by a real ticker until the
-	// context is cancelled.
-	eng, _, _, sink := bookPipeline(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		eng.Run(ctx, time.Millisecond)
-		close(done)
-	}()
-	deadline := time.After(2 * time.Second)
-	for sink.Len() == 0 {
-		select {
-		case <-deadline:
-			cancel()
-			t.Fatal("no delivery within 2s of wall-clock running")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop on context cancel")
 	}
 }
 
@@ -355,11 +278,6 @@ page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 	if d4 := poll(); d4 != d3 || src.CacheHits != 2 {
 		t.Fatalf("re-poll after change should hit cache again (hits=%d)", src.CacheHits)
 	}
-	// NoCache disables memoization entirely.
-	src.NoCache = true
-	if d5 := poll(); d5 == d3 || src.CacheHits != 2 {
-		t.Fatalf("NoCache poll must re-evaluate (hits=%d)", src.CacheHits)
-	}
 }
 
 // TestExtractionStats pins the wrapper memoization counters that the
@@ -368,14 +286,12 @@ page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 // over the engine.
 func TestExtractionStats(t *testing.T) {
 	page := htmlparse.Parse(`<html><body><p class="x">one</p><p class="x">two</p></body></html>`)
-	src := &WrapperSource{
-		CompName: "w",
-		Fetcher:  elog.MapFetcher{"site/page.html": page},
-		Program: elog.MustParse(`
+	fetch := elog.MapFetcher{"site/page.html": page}
+	w := lixto.MustCompile(`
 page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 para(S, X) <- page(_, S), subelem(S, (?.p, [(class, x, exact)]), X)
-`),
-	}
+`)
+	src := NewWrapperSource("w", w, fetch)
 	eng := NewEngine()
 	sink := &Collector{CompName: "sink"}
 	for _, c := range []Component{Component(src), sink} {
@@ -404,10 +320,12 @@ para(S, X) <- page(_, S), subelem(S, (?.p, [(class, x, exact)]), X)
 	if st.MatchCacheMisses != prev.MatchCacheMisses {
 		t.Fatalf("poll cache hit still re-matched: %+v vs %+v", st, prev)
 	}
-	// Invalidate only the poll cache (NoCache): the compiled match
-	// cache still answers the unchanged page without new misses.
-	src.NoCache = true
-	eng.Tick()
+	// A second source over the same compiled wrapper has no poll cache
+	// of its own, so it re-extracts: the shared compiled match cache
+	// still answers the unchanged page without new misses.
+	if _, err := NewWrapperSource("w2", w, fetch).Poll(); err != nil {
+		t.Fatal(err)
+	}
 	prev = st
 	st = src.ExtractionStats()
 	if st.MatchCacheHits <= prev.MatchCacheHits || st.MatchCacheMisses != prev.MatchCacheMisses {

@@ -15,6 +15,7 @@
 package web
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,6 +172,14 @@ func (r *rng) price(lo, hi int) string {
 	return fmt.Sprintf("%d.%02d", lo+r.intn(hi-lo+1), cents)
 }
 
+// maxPageBytes bounds the response body HTTPFetcher reads per page.
+const maxPageBytes = 16 << 20
+
+// ErrTruncated is returned (wrapped with the URL) when a response body
+// exceeds the page size limit: a cut-off page would otherwise parse
+// and publish as a valid, silently incomplete result.
+var ErrTruncated = errors.New("web: response body exceeds page size limit")
+
 // HTTPFetcher is an elog.Fetcher that retrieves pages over real HTTP —
 // used to wrap a Web served by Serve (or any other HTTP source). URLs
 // of the form "host/path" are resolved against Base.
@@ -199,9 +208,12 @@ func (h *HTTPFetcher) Fetch(url string) (*dom.Tree, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("web: GET %s: %s", full, resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPageBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(body) > maxPageBytes {
+		return nil, fmt.Errorf("web: GET %s: %w (%d bytes)", full, ErrTruncated, maxPageBytes)
 	}
 	return htmlparse.Parse(string(body)), nil
 }

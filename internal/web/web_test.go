@@ -1,9 +1,11 @@
 package web
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +260,41 @@ func TestHTTPFetcherEndToEnd(t *testing.T) {
 	}
 	if _, err := f.Fetch("missing.example.com/x.html"); err == nil {
 		t.Error("404 not surfaced")
+	}
+}
+
+// TestHTTPFetcherSizeLimit pins the page size limit: a body of exactly
+// the limit parses, one byte more is a typed error rather than a
+// silently cut-off page.
+func TestHTTPFetcherSizeLimit(t *testing.T) {
+	const head, tail = "<html><body><p>", "</p></body></html>"
+	page := func(size int) string {
+		return head + strings.Repeat("a", size-len(head)-len(tail)) + tail
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		size := maxPageBytes
+		if r.URL.Path == "/over" {
+			size++
+		}
+		io.WriteString(rw, page(size))
+	}))
+	defer srv.Close()
+	f := &HTTPFetcher{Base: srv.URL}
+	tr, err := f.Fetch("at")
+	if err != nil {
+		t.Fatalf("page of exactly the limit: %v", err)
+	}
+	text := 0
+	tr.Walk(func(n dom.NodeID) { text += len(tr.Text(n)) })
+	if want := maxPageBytes - len(head) - len(tail); text != want {
+		t.Errorf("parsed %d text bytes, want %d", text, want)
+	}
+	_, err = f.Fetch("over")
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("page over the limit: err = %v, want ErrTruncated", err)
+	}
+	if !strings.Contains(err.Error(), srv.URL+"/over") {
+		t.Errorf("error %q does not name the URL", err)
 	}
 }
 

@@ -16,8 +16,7 @@
 // skips the pattern-matching tree walks.
 //
 // The HTTP face of the same lifecycle is the /v1 API of
-// internal/server; internal/core and cmd/elogc are thin shims over
-// this package.
+// internal/server; cmd/elogc is a thin shim over this package.
 package lixto
 
 import (
